@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race batch-equiv check metrics-lint serve-smoke chaos-smoke atlas-smoke fabric-smoke bench bench-compare
+.PHONY: build vet test race check metrics-lint serve-smoke chaos-smoke atlas-smoke fabric-smoke bench bench-compare
 
 build:
 	$(GO) build ./...
@@ -19,22 +19,11 @@ race:
 metrics-lint:
 	./scripts/metrics-lint.sh
 
-# batch-equiv pins the batched mission engine to the scalar path under
-# the race detector: every drive of the same missions — scalar Stepper,
-# lockstep BatchStepper, tiled RunBatch, and RunCampaign at any
-# BatchSize — must produce bit-identical results. `race` already runs
-# these tests too; the named target exists so the equivalence contract
-# has its own CI handle and a fast local loop.
-batch-equiv:
-	$(GO) test -race -run '^(TestBatchStepperMatchesSequentialRuns|TestBatchCommandsMatchesCommand|TestCampaignByteIdenticalAcrossBatchSizes)$$' \
-		./internal/sim/ ./internal/flock/ ./internal/experiments/
-
-# check is the CI gate: vet plus metric-name hygiene plus the batched
-# engine's bit-identity pins plus the full test suite under the race
-# detector (the campaign engine's worker pool and the serving daemon's
-# job queue must stay race-clean; `race` covers internal/serve too),
-# plus the multi-process fabric smoke.
-check: build vet metrics-lint batch-equiv race fabric-smoke
+# check is the CI gate: vet plus metric-name hygiene plus the full
+# test suite under the race detector (the campaign engine's worker pool
+# and the serving daemon's job queue must stay race-clean; `race`
+# covers internal/serve too), plus the multi-process fabric smoke.
+check: build vet metrics-lint race fabric-smoke
 
 # serve-smoke boots a real swarmfuzzd on an ephemeral port, submits a
 # tiny fuzz job through the CLI client, and asserts it finishes with a
@@ -75,7 +64,7 @@ fabric-smoke:
 bench:
 	BENCH_OUT=$(CURDIR)/BENCH_telemetry.json BENCH_BASELINE=$(CURDIR)/BENCH_baseline.json $(GO) test -bench=. -benchtime=1x -run=^$$ .
 	rm -f $(CURDIR)/BENCH_hotpath.json
-	BENCH_HOTPATH=$(CURDIR)/BENCH_hotpath.json $(GO) test -bench='^(BenchmarkSimStep|BenchmarkSeedSearch|BenchmarkBatchedCampaign)$$' -benchtime=1x -run=^$$ .
+	BENCH_HOTPATH=$(CURDIR)/BENCH_hotpath.json $(GO) test -bench='^(BenchmarkSimStep|BenchmarkSeedSearch)$$' -benchtime=1x -run=^$$ .
 	rm -f $(CURDIR)/BENCH_obs.json
 	BENCH_OBS=$(CURDIR)/BENCH_obs.json $(GO) test -bench='^BenchmarkStatsSnapshot$$' -benchtime=1x -run=^$$ .
 	rm -f $(CURDIR)/BENCH_atlas.json
@@ -88,7 +77,7 @@ bench:
 # BENCH_hotpath.json to accept an intentional cost change.
 bench-compare:
 	rm -f $(CURDIR)/BENCH_hotpath.new.json
-	BENCH_HOTPATH=$(CURDIR)/BENCH_hotpath.new.json $(GO) test -bench='^(BenchmarkSimStep|BenchmarkSeedSearch|BenchmarkBatchedCampaign)$$' -benchtime=1x -run=^$$ .
+	BENCH_HOTPATH=$(CURDIR)/BENCH_hotpath.new.json $(GO) test -bench='^(BenchmarkSimStep|BenchmarkSeedSearch)$$' -benchtime=1x -run=^$$ .
 	$(GO) run ./tools/benchcompare -old $(CURDIR)/BENCH_hotpath.json -new $(CURDIR)/BENCH_hotpath.new.json -max-regression 0.20
 	rm -f $(CURDIR)/BENCH_obs.new.json
 	BENCH_OBS=$(CURDIR)/BENCH_obs.new.json $(GO) test -bench='^BenchmarkStatsSnapshot$$' -benchtime=1x -run=^$$ .

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -200,5 +201,58 @@ func TestPropPageRankDistribution(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCentralitiesBitStable pins that every centrality is a pure
+// function of the graph down to the last bit: repeated calls, and a
+// graph built with its edges inserted in another order, give the same
+// float64 bit patterns. Summing edge weights in a varying order (as map
+// iteration does) breaks this within a handful of calls.
+func TestCentralitiesBitStable(t *testing.T) {
+	const n = 15
+	r := rand.New(rand.NewSource(7))
+	type edge struct {
+		u, v int
+		w    float64
+	}
+	var edges []edge
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if u != v && r.Float64() < 0.8 {
+				edges = append(edges, edge{u, v, r.Float64()*10 + 1e-3})
+			}
+		}
+	}
+	build := func(order []int) *Digraph {
+		g := NewDigraph(n)
+		for _, k := range order {
+			mustEdge(t, g, edges[k].u, edges[k].v, edges[k].w)
+		}
+		return g
+	}
+	scores := func(g *Digraph) [][]float64 {
+		pr, err := PageRank(g, DefaultPageRankOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [][]float64{pr, WeightedInDegree(g), EigenvectorCentrality(g, 200, 1e-12)}
+	}
+	names := []string{"PageRank", "WeightedInDegree", "EigenvectorCentrality"}
+	g := build(r.Perm(len(edges)))
+	want := scores(g)
+	for rep := 0; rep < 50; rep++ {
+		h := g
+		if rep%2 == 1 {
+			h = build(r.Perm(len(edges)))
+		}
+		for k, got := range scores(h) {
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[k][i]) {
+					t.Fatalf("repeat %d: %s[%d] = %x, first call gave %x", rep, names[k], i,
+						math.Float64bits(got[i]), math.Float64bits(want[k][i]))
+				}
+			}
+		}
 	}
 }

@@ -12,25 +12,20 @@ import (
 
 // Digraph is a weighted directed graph over nodes 0..N-1. Edge weights
 // must be positive; parallel edges overwrite.
+//
+// Edges live in a dense row-major weight matrix where 0 marks a missing
+// edge (weights are strictly positive). Every traversal therefore visits
+// neighbours in ascending index order, which keeps floating-point sums
+// over edges, and so every centrality score, bit-stable across runs.
 type Digraph struct {
-	n int
-	// out[u] maps v -> weight of edge u->v.
-	out []map[int]float64
-	in  []map[int]float64
+	n     int
+	w     []float64 // w[u*n+v] is the weight of edge u->v, 0 if absent
+	edges int
 }
 
 // NewDigraph returns an empty graph with n nodes.
 func NewDigraph(n int) *Digraph {
-	g := &Digraph{
-		n:   n,
-		out: make([]map[int]float64, n),
-		in:  make([]map[int]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		g.out[i] = make(map[int]float64)
-		g.in[i] = make(map[int]float64)
-	}
-	return g
+	return &Digraph{n: n, w: make([]float64, n*n)}
 }
 
 // N returns the number of nodes.
@@ -46,18 +41,20 @@ func (g *Digraph) SetEdge(u, v int, w float64) error {
 	case w <= 0 || math.IsNaN(w) || math.IsInf(w, 0):
 		return fmt.Errorf("graph: edge (%d,%d) weight %v must be positive and finite", u, v, w)
 	}
-	g.out[u][v] = w
-	g.in[v][u] = w
+	if g.w[u*g.n+v] == 0 {
+		g.edges++
+	}
+	g.w[u*g.n+v] = w
 	return nil
 }
 
 // Weight returns the weight of edge u->v and whether it exists.
 func (g *Digraph) Weight(u, v int) (float64, bool) {
-	if u < 0 || u >= g.n {
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return 0, false
 	}
-	w, ok := g.out[u][v]
-	return w, ok
+	w := g.w[u*g.n+v]
+	return w, w != 0
 }
 
 // HasEdge reports whether edge u->v exists.
@@ -67,25 +64,33 @@ func (g *Digraph) HasEdge(u, v int) bool {
 }
 
 // NumEdges returns the total edge count.
-func (g *Digraph) NumEdges() int {
-	total := 0
-	for _, m := range g.out {
-		total += len(m)
-	}
-	return total
-}
+func (g *Digraph) NumEdges() int { return g.edges }
 
 // OutDegree returns the number of outgoing edges of u.
-func (g *Digraph) OutDegree(u int) int { return len(g.out[u]) }
+func (g *Digraph) OutDegree(u int) int {
+	d := 0
+	g.OutNeighbors(u, func(int, float64) { d++ })
+	return d
+}
 
 // InDegree returns the number of incoming edges of u.
-func (g *Digraph) InDegree(u int) int { return len(g.in[u]) }
+func (g *Digraph) InDegree(u int) int {
+	d := 0
+	for v := 0; v < g.n; v++ {
+		if g.w[v*g.n+u] != 0 {
+			d++
+		}
+	}
+	return d
+}
 
-// OutNeighbors calls fn for every edge u->v with its weight.
-// Iteration order is unspecified.
+// OutNeighbors calls fn for every edge u->v with its weight, in
+// ascending order of v.
 func (g *Digraph) OutNeighbors(u int, fn func(v int, w float64)) {
-	for v, w := range g.out[u] {
-		fn(v, w)
+	for v, w := range g.w[u*g.n : (u+1)*g.n] {
+		if w != 0 {
+			fn(v, w)
+		}
 	}
 }
 
@@ -93,10 +98,10 @@ func (g *Digraph) OutNeighbors(u int, fn func(v int, w float64)) {
 // the transposed SVG to score potential victim drones.
 func (g *Digraph) Transpose() *Digraph {
 	t := NewDigraph(g.n)
-	for u := range g.out {
-		for v, w := range g.out[u] {
-			t.out[v][u] = w
-			t.in[u][v] = w
+	t.edges = g.edges
+	for u := 0; u < g.n; u++ {
+		for v := 0; v < g.n; v++ {
+			t.w[v*g.n+u] = g.w[u*g.n+v]
 		}
 	}
 	return t
@@ -113,14 +118,15 @@ func (g *Digraph) HasPath(u, v int) bool {
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for nb := range g.out[cur] {
+		for nb, w := range g.w[cur*g.n : (cur+1)*g.n] {
+			if w == 0 || seen[nb] {
+				continue
+			}
 			if nb == v {
 				return true
 			}
-			if !seen[nb] {
-				seen[nb] = true
-				stack = append(stack, nb)
-			}
+			seen[nb] = true
+			stack = append(stack, nb)
 		}
 	}
 	return false

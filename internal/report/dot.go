@@ -3,7 +3,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"swarmfuzz/internal/graph"
@@ -11,8 +10,8 @@ import (
 
 // WriteDOT renders a weighted digraph — typically a Swarm Vulnerability
 // Graph — in Graphviz DOT format: node labels are drone indices, edge
-// labels carry the influence weights. Output is deterministic (edges
-// sorted) so it can be diffed and tested.
+// labels carry the influence weights. Output is deterministic (edges in
+// ascending (u, v) order) so it can be diffed and tested.
 func WriteDOT(w io.Writer, name string, g *graph.Digraph) error {
 	if g == nil {
 		return fmt.Errorf("report: nil graph")
@@ -23,24 +22,10 @@ func WriteDOT(w io.Writer, name string, g *graph.Digraph) error {
 	for i := 0; i < g.N(); i++ {
 		fmt.Fprintf(&b, "  d%d [label=\"drone %d\"];\n", i, i)
 	}
-	type edge struct {
-		u, v int
-		w    float64
-	}
-	var edges []edge
 	for u := 0; u < g.N(); u++ {
 		g.OutNeighbors(u, func(v int, w float64) {
-			edges = append(edges, edge{u, v, w})
+			fmt.Fprintf(&b, "  d%d -> d%d [label=\"%.3f\"];\n", u, v, w)
 		})
-	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].u != edges[b].u {
-			return edges[a].u < edges[b].u
-		}
-		return edges[a].v < edges[b].v
-	})
-	for _, e := range edges {
-		fmt.Fprintf(&b, "  d%d -> d%d [label=\"%.3f\"];\n", e.u, e.v, e.w)
 	}
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())

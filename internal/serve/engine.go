@@ -60,10 +60,6 @@ const (
 	// MJobsGCed counts terminal jobs swept from the store by TTL
 	// garbage collection.
 	MJobsGCed = "serve_jobs_gced"
-	// MBatchWidth gauges the lockstep batch width (JobSpec.BatchSize)
-	// of the most recently started campaign/grid job — 0 or 1 means the
-	// sequential clean-safe scan.
-	MBatchWidth = "serve_batch_width"
 )
 
 // robustnessCounters are pre-registered at engine creation so the
@@ -96,7 +92,6 @@ func init() {
 		MIODegraded:                 "Store writes that failed even after retries.",
 		MWatchdogKills:              "Job attempts killed by the stall watchdog.",
 		MJobsGCed:                   "Terminal jobs swept by TTL garbage collection.",
-		MBatchWidth:                 "Lockstep batch width of the last started campaign/grid job.",
 		jobWallMetric(KindFuzz):     "Job wall time, fuzz jobs.",
 		jobWallMetric(KindCampaign): "Job wall time, campaign jobs.",
 		jobWallMetric(KindGrid):     "Job wall time, grid jobs.",
@@ -205,6 +200,8 @@ type Engine struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
+	// mu guards the fields below. Lifecycle state events are published
+	// with mu held, so a job's event sequence follows its transitions.
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    []string
@@ -516,6 +513,9 @@ func (e *Engine) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	j := &job{spec: spec, status: st, hub: newHub(id, 0, e.store, e.log), enqueued: now}
+	// Publish before the job is queued: a worker's "running" event must
+	// never be sequenced ahead of it.
+	j.hub.publish("state", func(ev *Event) { ev.State = StateQueued })
 	e.jobs[id] = j
 	if key := spec.IdempotencyKey; key != "" {
 		e.byKey[key] = id
@@ -524,7 +524,6 @@ func (e *Engine) Submit(spec JobSpec) (JobStatus, error) {
 	e.cond.Signal()
 	e.updateMetricsLocked()
 	e.mu.Unlock()
-	j.hub.publish("state", func(ev *Event) { ev.State = StateQueued })
 	e.log.Infof("job %s: %s/%s queued", id, spec.Kind, spec.Fuzzer)
 	return st, nil
 }
@@ -655,10 +654,10 @@ func (e *Engine) Cancel(id string) (JobStatus, error) {
 			e.mu.Unlock()
 			return JobStatus{}, err
 		}
-		e.updateMetricsLocked()
-		e.mu.Unlock()
 		j.hub.publish("state", func(ev *Event) { ev.State = StateCancelled })
 		j.hub.close()
+		e.updateMetricsLocked()
+		e.mu.Unlock()
 		e.log.Infof("job %s: cancelled while queued", id)
 		return st, nil
 	case StateRunning:
@@ -759,10 +758,10 @@ func (e *Engine) worker() {
 		if err := e.store.WriteStatus(st); err != nil {
 			e.log.Errorf("job %s: persist status: %v", id, err)
 		}
+		j.hub.publish("state", func(ev *Event) { ev.State = StateRunning })
 		e.updateMetricsLocked()
 		e.mu.Unlock()
 
-		j.hub.publish("state", func(ev *Event) { ev.State = StateRunning })
 		e.log.Infof("job %s: running (attempt %d)", id, st.Attempts)
 		start := e.opts.Clock()
 		report, err := e.executeWatched(ctx, cancel, id, j)
@@ -887,6 +886,22 @@ func (e *Engine) settle(id string, j *job, report []byte, err error, wall time.D
 	if werr := e.store.WriteStatus(j.status); werr != nil {
 		e.log.Errorf("job %s: persist status: %v", id, werr)
 	}
+	if degraded {
+		j.hub.publish("io_degraded", func(ev *Event) {
+			ev.Error = "report could not be persisted; serving the in-memory copy"
+		})
+	}
+	// Publish before a requeued job is visible to a worker, so the next
+	// attempt's "running" follows this "queued".
+	j.hub.publish("state", func(ev *Event) {
+		ev.State = state
+		if state == StateFailed {
+			ev.Error = err.Error()
+		}
+	})
+	if state.Terminal() {
+		j.hub.close()
+	}
 	if requeue && !e.draining {
 		j.enqueued = e.opts.Clock()
 		e.queue = append(e.queue, id)
@@ -896,24 +911,6 @@ func (e *Engine) settle(id string, j *job, report []byte, err error, wall time.D
 	draining := e.draining
 	e.mu.Unlock()
 
-	errText := ""
-	if err != nil && state != StateDone {
-		errText = err.Error()
-	}
-	if degraded {
-		j.hub.publish("io_degraded", func(ev *Event) {
-			ev.Error = "report could not be persisted; serving the in-memory copy"
-		})
-	}
-	j.hub.publish("state", func(ev *Event) {
-		ev.State = state
-		if state == StateFailed {
-			ev.Error = errText
-		}
-	})
-	if state.Terminal() {
-		j.hub.close()
-	}
 	if state == StateDone && !degraded && e.opts.Cache != nil && j.spec.Cacheable() {
 		e.storeCacheEntry(id, j.spec, report)
 	}
@@ -1035,7 +1032,6 @@ func (e *Engine) runCampaign(ctx context.Context, id string, spec JobSpec, fuzze
 	cfg.Flock = params
 	cfg.Telemetry = rec
 	cfg.Log = e.log
-	e.rec.Set(MBatchWidth, float64(spec.BatchSize))
 	cfg.Checkpoint = e.store.CheckpointDir(id)
 	if spec.Flightlog {
 		cfg.FlightDir = e.store.FlightDir(id)

@@ -421,3 +421,40 @@ func TestEventStreamLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentPublishPersistsInSeqOrder pins that events.jsonl lists
+// a job's events in seq order even when several goroutines publish at
+// once, as a campaign's mission workers do with progress events. A
+// replay relies on it: Subscribe takes the file's last seq as the
+// point after which in-process history is new.
+func TestConcurrentPublishPersistsInSeqOrder(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id, publishers, each = "j000000", 8, 25
+	h := newHub(id, 0, store, nil)
+	var wg sync.WaitGroup
+	for range publishers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range each {
+				h.publish("progress", nil)
+			}
+		}()
+	}
+	wg.Wait()
+	events, err := store.ReadEvents(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != publishers*each {
+		t.Fatalf("persisted %d events, want %d", len(events), publishers*each)
+	}
+	for i, ev := range events {
+		if ev.Seq != i+1 {
+			t.Fatalf("events.jsonl line %d has seq %d, want %d", i+1, ev.Seq, i+1)
+		}
+	}
+}

@@ -54,7 +54,9 @@ func newHub(id string, base int, store *Store, log *telemetry.Logger) *hub {
 
 // publish appends the event to the history, persists it and delivers
 // it to every live subscriber. A subscriber too slow to keep up with
-// its buffer is dropped (it can reconnect and replay by seq).
+// its buffer is dropped (it can reconnect and replay by seq). The event
+// is persisted under the hub lock, so events.jsonl lists events in seq
+// order even when several goroutines publish at once.
 func (h *hub) publish(typ string, mutate func(*Event)) {
 	e := Event{Type: typ, TimeUnix: time.Now().Unix()}
 	if mutate != nil {
@@ -79,7 +81,6 @@ func (h *hub) publish(typ string, mutate func(*Event)) {
 		delete(h.subs, ch)
 		close(ch)
 	}
-	h.mu.Unlock()
 	if h.store != nil {
 		if data, err := json.Marshal(e); err == nil {
 			if err := h.store.AppendEvent(h.id, data); err != nil {
@@ -87,6 +88,7 @@ func (h *hub) publish(typ string, mutate func(*Event)) {
 			}
 		}
 	}
+	h.mu.Unlock()
 }
 
 // close ends the stream: subscribers drain what they have and stop.

@@ -99,11 +99,11 @@ func (e *Engine) admitCached(spec JobSpec, key string, ent fabric.Entry) (JobSta
 	if k := spec.IdempotencyKey; k != "" {
 		e.byKey[k] = id
 	}
+	j.hub.publish("state", func(ev *Event) { ev.State = StateDone })
+	j.hub.close()
 	e.updateMetricsLocked()
 	e.mu.Unlock()
 	e.rec.Add(MCacheHits, 1)
-	j.hub.publish("state", func(ev *Event) { ev.State = StateDone })
-	j.hub.close()
 	e.log.Infof("job %s: %s/%s served from result cache (key %s…)", id, spec.Kind, spec.Fuzzer, key[:12])
 	return st, nil
 }
