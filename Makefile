@@ -1,12 +1,17 @@
 GO ?= go
 
-.PHONY: build vet test race check metrics-lint serve-smoke chaos-smoke atlas-smoke fabric-smoke bench bench-compare
+.PHONY: build vet fmt test race check metrics-lint serve-smoke chaos-smoke atlas-smoke fabric-smoke bench bench-compare
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing the offending files, if any Go file is not
+# gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -19,11 +24,11 @@ race:
 metrics-lint:
 	./scripts/metrics-lint.sh
 
-# check is the CI gate: vet plus metric-name hygiene plus the full
-# test suite under the race detector (the campaign engine's worker pool
-# and the serving daemon's job queue must stay race-clean; `race`
+# check is the CI gate: gofmt, vet and metric-name hygiene, plus the
+# full test suite under the race detector (the campaign engine's worker
+# pool and the serving daemon's job queue must stay race-clean; `race`
 # covers internal/serve too), plus the multi-process fabric smoke.
-check: build vet metrics-lint race fabric-smoke
+check: build fmt vet metrics-lint race fabric-smoke
 
 # serve-smoke boots a real swarmfuzzd on an ephemeral port, submits a
 # tiny fuzz job through the CLI client, and asserts it finishes with a

@@ -323,7 +323,10 @@ func trimFloat(v float64) string {
 }
 
 // esc escapes text for XML content and attribute positions.
-func esc(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "'", "&apos;")
-	return r.Replace(s)
-}
+var esc = strings.NewReplacer(
+	"&", "&amp;",
+	"<", "&lt;",
+	">", "&gt;",
+	`"`, "&quot;",
+	"'", "&apos;",
+).Replace

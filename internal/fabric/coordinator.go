@@ -53,8 +53,9 @@ type Coordinator struct {
 	workers   map[string]time.Time
 	jobs      map[string]*fabJob
 	nextLease uint64
+
 	granted, expired, completed, failed int64
-	lastContact time.Time
+	lastContact                         time.Time
 }
 
 // fabJob tracks one sharded grid job. onDone runs under the job mutex,

@@ -65,14 +65,6 @@ func runJobAsync(c *Coordinator, ctx context.Context, job string, cells []Cell, 
 func TestWorkersDrainJob(t *testing.T) {
 	c, ts := testFabric(t, Options{})
 	cells := []Cell{{3, 8}, {3, 10}, {4, 8}, {4, 10}}
-	var mu sync.Mutex
-	got := map[Cell]int{}
-	errc := runJobAsync(c, context.Background(), "j1", cells, func(d CellDone) error {
-		mu.Lock()
-		got[d.Cell]++
-		mu.Unlock()
-		return nil
-	})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -86,6 +78,25 @@ func TestWorkersDrainJob(t *testing.T) {
 		}
 		go w.Run(ctx)
 	}
+	// Submit only once both workers have polled: otherwise one worker
+	// can drain all four cells before the other's first lease request,
+	// and the coordinator rightly reports a single live worker.
+	deadline := time.Now().Add(5 * time.Second)
+	for c.LiveWorkers() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("live workers = %d before submit, want 2", c.LiveWorkers())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	var mu sync.Mutex
+	got := map[Cell]int{}
+	errc := runJobAsync(c, context.Background(), "j1", cells, func(d CellDone) error {
+		mu.Lock()
+		got[d.Cell]++
+		mu.Unlock()
+		return nil
+	})
 	select {
 	case err := <-errc:
 		if err != nil {

@@ -27,7 +27,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"swarmfuzz/internal/comms"
@@ -151,8 +150,8 @@ func (l *MissionLog) Recorder(label string) sim.FlightRecorder {
 }
 
 // SVG records one direction's Swarm Vulnerability Graph. Edges are
-// emitted in ascending (from, to) order regardless of the graph's
-// internal map iteration order, so logs stay deterministic.
+// emitted in ascending (from, to) order, the order in which
+// Digraph.OutNeighbors visits them, so logs stay deterministic.
 func (l *MissionLog) SVG(dir gps.Direction, g *graph.Digraph) {
 	rec := SVGRecord{
 		Type:      TypeSVG,
@@ -161,12 +160,8 @@ func (l *MissionLog) SVG(dir gps.Direction, g *graph.Digraph) {
 		Edges:     make([]EdgeRecord, 0, g.NumEdges()),
 	}
 	for u := 0; u < g.N(); u++ {
-		from := len(rec.Edges)
 		g.OutNeighbors(u, func(v int, w float64) {
 			rec.Edges = append(rec.Edges, EdgeRecord{From: u, To: v, Weight: r6(w)})
-		})
-		sort.Slice(rec.Edges[from:], func(a, b int) bool {
-			return rec.Edges[from+a].To < rec.Edges[from+b].To
 		})
 	}
 	l.write(&rec)

@@ -1,8 +1,6 @@
-// Package graph provides the weighted directed graph and centrality
-// analyses behind the Swarm Vulnerability Graph. PageRank (computed
-// with the power method, as the paper prescribes) is the centrality
-// SwarmFuzz uses; degree and eigenvector centrality are included for
-// the centrality-choice ablation.
+// Package graph provides the weighted directed graph behind the Swarm
+// Vulnerability Graph and its one centrality: PageRank, computed with
+// the power method as the paper prescribes.
 package graph
 
 import (
@@ -16,7 +14,7 @@ import (
 // Edges live in a dense row-major weight matrix where 0 marks a missing
 // edge (weights are strictly positive). Every traversal therefore visits
 // neighbours in ascending index order, which keeps floating-point sums
-// over edges, and so every centrality score, bit-stable across runs.
+// over edges, and so every PageRank score, bit-stable across runs.
 type Digraph struct {
 	n     int
 	w     []float64 // w[u*n+v] is the weight of edge u->v, 0 if absent
