@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt test race check metrics-lint serve-smoke chaos-smoke atlas-smoke fabric-smoke bench bench-compare
+.PHONY: build vet fmt test race check campaignbench-check metrics-lint serve-smoke chaos-smoke atlas-smoke fabric-smoke bench bench-compare
 
 build:
 	$(GO) build ./...
@@ -24,11 +24,19 @@ race:
 metrics-lint:
 	./scripts/metrics-lint.sh
 
+# campaignbench is its own module, so `go build ./...` and `go test
+# ./...` at the root skip it; this vets and tests it against the
+# current tree, so an API change under internal/ cannot break the
+# benchmark binary unnoticed.
+campaignbench-check:
+	cd campaignbench && $(GO) vet ./... && $(GO) test ./...
+
 # check is the CI gate: gofmt, vet and metric-name hygiene, plus the
 # full test suite under the race detector (the campaign engine's worker
 # pool and the serving daemon's job queue must stay race-clean; `race`
-# covers internal/serve too), plus the multi-process fabric smoke.
-check: build fmt vet metrics-lint race fabric-smoke
+# covers internal/serve too), plus the campaignbench module's vet and
+# tests, plus the multi-process fabric smoke.
+check: build fmt vet metrics-lint race campaignbench-check fabric-smoke
 
 # serve-smoke boots a real swarmfuzzd on an ephemeral port, submits a
 # tiny fuzz job through the CLI client, and asserts it finishes with a

@@ -100,8 +100,7 @@ func fuzzWith(in Input, opts Options, name string, mkSeeds seedFn, search search
 	// add scheduling and channel overhead (on a single-core box,
 	// workers=4 measured ~5% slower than sequential). Results are
 	// byte-identical at any worker count, so clamping is observably
-	// safe; it propagates into both the seed walk and the per-iteration
-	// probe batches.
+	// safe.
 	opts.SeedWorkers = clampWorkers(opts.SeedWorkers)
 	rep := &Report{Fuzzer: name}
 	rec := reportRecorder{telemetry.OrNop(opts.Telemetry), rep}
@@ -143,11 +142,20 @@ func fuzzWith(in Input, opts Options, name string, mkSeeds seedFn, search search
 		defer func() { opts.Observer.EndSearch(rep.Found) }()
 	}
 
+	// next yields seed i's outcome, with its counters and search trail
+	// already recorded: the search run inline, or a speculative
+	// worker's buffered result replayed (parallel.go). The loop below
+	// is the walk's only commit point.
+	next := func(_ int, seed svg.Seed) (int, *Finding, error) {
+		return search(in, seed, cr, opts, rec, seedTrace(opts, seed), nil)
+	}
 	if opts.SeedWorkers > 1 && parallelizable && len(seeds) > 1 {
-		return parallelSeedWalk(in, opts, search, searchStage, cr, seeds, rep, rec)
+		var stop func()
+		next, stop = speculate(in, opts, search, cr, seeds, rec)
+		defer stop()
 	}
 
-	for _, seed := range seeds {
+	for i, seed := range seeds {
 		rep.SeedsTried++
 		span := rec.StartSpan(opts.TraceParent, searchStage,
 			telemetry.KV("target", seed.Target),
@@ -156,8 +164,7 @@ func fuzzWith(in Input, opts Options, name string, mkSeeds seedFn, search search
 		if opts.Observer != nil {
 			opts.Observer.SeedStart(seed)
 		}
-		trace := seedTrace(opts, seed)
-		iters, finding, err := search(in, seed, cr, opts, rec, trace, nil)
+		iters, finding, err := next(i, seed)
 		rep.IterationsToFind += iters
 		rec.Add(telemetry.MSearchIters, int64(iters))
 		span.End(telemetry.KV("iters", iters), telemetry.KV("found", finding != nil))
@@ -258,26 +265,17 @@ func scheduledSeeds(in Input, clean *cleanRun, opts Options, rec telemetry.Recor
 	return scheduleSeeds(in, clean.res, opts, rec)
 }
 
-// gradientSearch is the gradient-guided search shared with SwarmFuzz.
-func gradientSearch(in Input, seed svg.Seed, clean *cleanRun, opts Options, rec telemetry.Recorder, trace searchTrace, stop func() bool) (int, *Finding, error) {
-	res, finding, err := searchSeed(in, seed, clean.res, opts, rec, trace, stop)
-	return res.Iters, finding, err
-}
-
 // randomSearch samples (t_s, Δt) uniformly for up to MaxIterPerSeed
 // iterations. It draws from the shared mission stream, which is why
-// the random fuzzers are never run on the speculative walk; stop is
-// accepted for signature compatibility.
-func randomSearch(in Input, seed svg.Seed, clean *cleanRun, opts Options, rec telemetry.Recorder, trace searchTrace, stop func() bool) (int, *Finding, error) {
+// the random fuzzers are never run on the speculative walk and so are
+// never stopped.
+func randomSearch(in Input, seed svg.Seed, clean *cleanRun, opts Options, rec telemetry.Recorder, trace searchTrace, _ func() bool) (int, *Finding, error) {
 	horizon := clean.res.Duration
 	iters := 0
 	best := math.Inf(1)
 	for iter := 0; iter < opts.MaxIterPerSeed; iter++ {
-		if stop != nil && stop() {
-			return iters, nil, errSpeculationStopped
-		}
 		ts := clean.src.Uniform(0, horizon)
-		dt := clean.src.Uniform(0, math.Min(horizon-ts, 4*opts.InitDuration))
+		dt := clean.src.Uniform(0, math.Min(horizon-ts, 4*initDuration))
 		plan := gps.SpoofPlan{
 			Target:    seed.Target,
 			Start:     ts,

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"swarmfuzz/internal/flightlog"
 	"swarmfuzz/internal/gps"
@@ -72,17 +71,6 @@ type Options struct {
 	// TargetsPerVictim is how many candidate targets the scheduler
 	// pairs with each (victim, direction), ranked by influence.
 	TargetsPerVictim int
-	// ApproachLead anchors the initial guess: the initial attack
-	// window ends when the swarm's leading drone is this many metres
-	// (along-track) from the obstacle in the clean run. Successful
-	// SPVs distort the formation *before* obstacle avoidance begins;
-	// the squeezed formation then collides during its natural passage.
-	ApproachLead float64
-	// InitLead shifts the initial window end by this many seconds
-	// (positive = later).
-	InitLead float64
-	// InitDuration is the initial Δt guess in seconds.
-	InitDuration float64
 	// RandSeed drives the random fuzzers' sampling.
 	RandSeed uint64
 	// SeedWorkers bounds the speculative seed-search worker pool for
@@ -90,11 +78,10 @@ type Options struct {
 	// seed walk sequentially. Higher values evaluate scheduled seeds
 	// concurrently but commit their results in schedule order, so the
 	// Report — seeds tried, first SPV, SimRuns accounting — is
-	// byte-identical to the sequential walk; it also enables parallel
-	// evaluation of the per-iteration finite-difference probes. The
-	// random-parameter fuzzers (R_Fuzz, S_Fuzz) draw their samples from
-	// one shared deterministic stream and therefore always run
-	// sequentially, whatever this is set to.
+	// byte-identical to the sequential walk. The random-parameter
+	// fuzzers (R_Fuzz, S_Fuzz) draw their samples from one shared
+	// deterministic stream and therefore always run sequentially,
+	// whatever this is set to.
 	SeedWorkers int
 	// Telemetry receives the pipeline's counters and trace spans; nil
 	// disables recording (the hot paths then pay one no-op interface
@@ -145,6 +132,18 @@ type SearchObserver interface {
 	EndSearch(found bool)
 }
 
+// The initial guess of every gradient-guided seed search: the attack
+// window ends when the swarm's leading drone is approachLead metres
+// (along-track) from the obstacle in the clean run, and lasts
+// initDuration seconds. Successful SPVs distort the formation *before*
+// obstacle avoidance begins; the squeezed formation then collides
+// during its natural passage. The random fuzzers cap their sampled Δt
+// at four times initDuration.
+const (
+	approachLead = 25.0
+	initDuration = 12.0
+)
+
 // DefaultOptions returns the paper's parameterisation.
 func DefaultOptions() Options {
 	g := opt.DefaultOptions()
@@ -153,9 +152,6 @@ func DefaultOptions() Options {
 		Grad:             g,
 		SVGThreshold:     0.05,
 		TargetsPerVictim: 2,
-		ApproachLead:     25,
-		InitLead:         0,
-		InitDuration:     12,
 		RandSeed:         1,
 	}
 }
@@ -170,12 +166,6 @@ func (o Options) Validate() error {
 	}
 	if o.TargetsPerVictim < 1 {
 		return fmt.Errorf("fuzz: targets per victim %d must be >= 1", o.TargetsPerVictim)
-	}
-	if o.InitDuration <= 0 {
-		return fmt.Errorf("fuzz: bad initial duration %v", o.InitDuration)
-	}
-	if o.ApproachLead < 0 {
-		return fmt.Errorf("fuzz: negative approach lead %v", o.ApproachLead)
 	}
 	if o.SeedWorkers < 0 {
 		return fmt.Errorf("fuzz: seed workers %d must be >= 0", o.SeedWorkers)
@@ -347,23 +337,28 @@ type searchTrace func(it opt.Iterate)
 // discarded by the committer, so it never reaches a Report.
 var errSpeculationStopped = errors.New("fuzz: speculative seed search cancelled")
 
-// searchSeed runs the gradient-guided search (step 3 of Fig. 3) for
-// one seed and reports the result. trace (nil = none) observes every
-// counted iterate; stop (nil = never) is polled before each simulation
-// so a cancelled speculative search aborts quickly.
-func searchSeed(in Input, seed svg.Seed, clean *sim.Result, opts Options, rec telemetry.Recorder, trace searchTrace, stop func() bool) (opt.Result, *Finding, error) {
-	horizon := clean.Duration
-	windowEnd := approachTime(in.Mission, clean.Trajectory, opts.ApproachLead) + opts.InitLead
-	ts0 := math.Max(0, windowEnd-opts.InitDuration)
-	dt0 := opts.InitDuration
+// gradientSearch runs the gradient-guided search (step 3 of Fig. 3)
+// for one seed; SwarmFuzz and G_Fuzz share it. trace (nil = none)
+// observes every counted iterate; stop (nil = never) is polled before
+// each simulation so a cancelled speculative search aborts quickly.
+func gradientSearch(in Input, seed svg.Seed, clean *cleanRun, opts Options, rec telemetry.Recorder, trace searchTrace, stop func() bool) (int, *Finding, error) {
+	horizon := clean.res.Duration
+	windowEnd := approachTime(in.Mission, clean.res.Trajectory, approachLead)
+	ts0 := math.Max(0, windowEnd-initDuration)
+	dt0 := initDuration
 
-	// evalPoint runs one attacked simulation, recording into r. The
-	// small-positive clamp below keeps the optimizer from declaring
-	// victory on an invalid collision (e.g. drone-drone): the victim's
-	// clearance went non-positive, but not the way an SPV requires.
-	evalPoint := func(ts, dt float64, r telemetry.Recorder) (float64, error) {
+	// objective runs one attacked simulation. The small-positive clamp
+	// below keeps the optimizer from declaring victory on an invalid
+	// collision (e.g. drone-drone): the victim's clearance went
+	// non-positive, but not the way an SPV requires.
+	var simErr error
+	objective := func(ts, dt float64) float64 {
+		if simErr != nil {
+			return math.Inf(1)
+		}
 		if stop != nil && stop() {
-			return math.Inf(1), errSpeculationStopped
+			simErr = errSpeculationStopped
+			return math.Inf(1)
 		}
 		plan := gps.SpoofPlan{
 			Target:    seed.Target,
@@ -372,86 +367,15 @@ func searchSeed(in Input, seed svg.Seed, clean *sim.Result, opts Options, rec te
 			Direction: seed.Direction,
 			Distance:  in.SpoofDistance,
 		}
-		ev, err := evaluate(in, plan, seed.Victim, r)
-		if err != nil {
-			return math.Inf(1), err
-		}
-		if !ev.success && ev.objective <= 0 {
-			return 0.01, nil
-		}
-		return ev.objective, nil
-	}
-
-	var simErr error
-	objective := func(ts, dt float64) float64 {
-		if simErr != nil {
-			return math.Inf(1)
-		}
-		v, err := evalPoint(ts, dt, rec)
+		ev, err := evaluate(in, plan, seed.Victim, rec)
 		if err != nil {
 			simErr = err
 			return math.Inf(1)
 		}
-		return v
-	}
-
-	// batch evaluates one descent iteration's candidate and probes as
-	// concurrent simulations (they are independent), then commits their
-	// values and telemetry in the sequential order with the sequential
-	// gate: probe results are consumed only if the candidate was
-	// positive and error-free, and nothing after the first error is
-	// committed. This keeps accounting identical to the lazy path.
-	var batch func(pts [][2]float64) []float64
-	if opts.SeedWorkers > 1 {
-		type pointEval struct {
-			v   float64
-			err error
-			buf *bufRecorder
+		if !ev.success && ev.objective <= 0 {
+			return 0.01
 		}
-		batch = func(pts [][2]float64) []float64 {
-			out := make([]float64, len(pts))
-			if simErr != nil {
-				for k := range out {
-					out[k] = math.Inf(1)
-				}
-				return out
-			}
-			evals := make([]pointEval, len(pts))
-			var wg sync.WaitGroup
-			for k := 1; k < len(pts); k++ {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					buf := &bufRecorder{parent: rec}
-					v, err := evalPoint(pts[k][0], pts[k][1], buf)
-					evals[k] = pointEval{v: v, err: err, buf: buf}
-				}(k)
-			}
-			buf := &bufRecorder{parent: rec}
-			v, err := evalPoint(pts[0][0], pts[0][1], buf)
-			evals[0] = pointEval{v: v, err: err, buf: buf}
-			wg.Wait()
-
-			open := true
-			for k := range evals {
-				if !open {
-					out[k] = math.Inf(1)
-					continue
-				}
-				evals[k].buf.replay(rec)
-				if evals[k].err != nil {
-					simErr = evals[k].err
-					out[k] = math.Inf(1)
-					open = false
-					continue
-				}
-				out[k] = evals[k].v
-				if k == 0 && evals[k].v <= 0 {
-					open = false
-				}
-			}
-			return out
-		}
+		return ev.objective
 	}
 
 	// The landscape has flat plateaus away from the narrow collision
@@ -465,24 +389,19 @@ func searchSeed(in Input, seed svg.Seed, clean *sim.Result, opts Options, rec te
 		{ts0 + dt0/3, dt0 * 1.5},
 		{ts0 - dt0, dt0},
 	}
-	acc := opt.Result{Value: math.Inf(1)}
-	budget := opts.MaxIterPerSeed
+	iters := 0
 	for _, s := range starts {
-		if budget <= 0 {
+		if iters >= opts.MaxIterPerSeed {
 			break
 		}
 		g := opts.Grad
-		g.MaxIters = budget
+		g.MaxIters = opts.MaxIterPerSeed - iters
 		g.Horizon = horizon
-		g.Batch = batch
 		if trace != nil {
 			// The iterate trail numbers iterations across the whole
 			// multi-start schedule, matching the per-seed budget
-			// accounting. opt.Observe fires exactly once per counted
-			// iterate with the same point and value Trace reports, so
-			// the flight log's search trail is unchanged by deriving it
-			// from the structured stream.
-			base := acc.Iters
+			// accounting.
+			base := iters
 			g.Observe = func(it opt.Iterate) {
 				it.Iter += base
 				trace(it)
@@ -490,20 +409,14 @@ func searchSeed(in Input, seed svg.Seed, clean *sim.Result, opts Options, rec te
 		}
 		res, err := opt.Minimize(objective, math.Max(s[0], 0), math.Max(s[1], 0.5), g)
 		if err != nil {
-			return acc, nil, err
+			return iters, nil, err
 		}
 		if simErr != nil {
-			return acc, nil, simErr
+			return iters, nil, simErr
 		}
-		budget -= res.Iters
-		acc.Iters += res.Iters
-		acc.Evals += res.Evals
-		if res.Value < acc.Value {
-			acc.TS, acc.DT, acc.Value = res.TS, res.DT, res.Value
-		}
+		iters += res.Iters
 		if res.Found {
-			acc.Found = true
-			return acc, &Finding{
+			return iters, &Finding{
 				Plan: gps.SpoofPlan{
 					Target:    seed.Target,
 					Start:     res.TS,
@@ -513,9 +426,9 @@ func searchSeed(in Input, seed svg.Seed, clean *sim.Result, opts Options, rec te
 				},
 				Victim:     seed.Victim,
 				Objective:  res.Value,
-				Iterations: acc.Iters,
+				Iterations: iters,
 			}, nil
 		}
 	}
-	return acc, nil, nil
+	return iters, nil, nil
 }

@@ -66,8 +66,6 @@ func TestOptionsValidate(t *testing.T) {
 	bad := []Options{
 		mod(func(o *Options) { o.MaxIterPerSeed = 0 }),
 		mod(func(o *Options) { o.MaxSeeds = -1 }),
-		mod(func(o *Options) { o.InitDuration = 0 }),
-		mod(func(o *Options) { o.ApproachLead = -1 }),
 		mod(func(o *Options) { o.Grad.LearningRate = 0 }),
 	}
 	for i, o := range bad {

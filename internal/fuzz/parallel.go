@@ -1,7 +1,6 @@
 package fuzz
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -112,17 +111,17 @@ type seedOutcome struct {
 	trail   []opt.Iterate
 }
 
-// parallelSeedWalk is the speculative counterpart of fuzzWith's
-// sequential seed loop. See the package comment above for the
+// speculate starts the speculative walk's worker pool over seeds and
+// returns fuzzWith's next for it: next(i, seed) waits for seed i's
+// outcome, then replays its counters into rec and its search trail
+// into the flight log and the observer, exactly as the inline search
+// would have recorded them. stop cancels the in-flight searches and
+// waits for the workers to exit. See the comment above for the
 // commit-order contract.
-func parallelSeedWalk(in Input, opts Options, search searchFn, searchStage string, cr *cleanRun, seeds []svg.Seed, rep *Report, rec reportRecorder) (*Report, error) {
-	workers := opts.SeedWorkers
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
+func speculate(in Input, opts Options, search searchFn, cr *cleanRun, seeds []svg.Seed, rec telemetry.Recorder) (next func(i int, seed svg.Seed) (int, *Finding, error), stop func()) {
+	workers := min(opts.SeedWorkers, len(seeds))
 
 	var stopFlag atomic.Bool
-	stop := func() bool { return stopFlag.Load() }
 	quit := make(chan struct{})
 	idxCh := make(chan int)
 	outcomes := make([]chan seedOutcome, len(seeds))
@@ -147,62 +146,33 @@ func parallelSeedWalk(in Input, opts Options, search searchFn, searchStage strin
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				buf := &bufRecorder{parent: rec}
-				var out seedOutcome
+				out := seedOutcome{rec: &bufRecorder{parent: rec}}
 				var trace searchTrace
 				if opts.Flight != nil || opts.Observer != nil {
 					trace = func(it opt.Iterate) {
 						out.trail = append(out.trail, it)
 					}
 				}
-				out.iters, out.finding, out.err = search(in, seeds[i], cr, opts, buf, trace, stop)
-				out.rec = buf
+				out.iters, out.finding, out.err = search(in, seeds[i], cr, opts, out.rec, trace, stopFlag.Load)
 				outcomes[i] <- out
 			}
 		}()
 	}
-	defer func() {
-		stopFlag.Store(true)
-		close(quit)
-		wg.Wait()
-	}()
 
-	for i, seed := range seeds {
+	next = func(i int, seed svg.Seed) (int, *Finding, error) {
 		out := <-outcomes[i]
-		// Commit: exactly the sequential loop's mutations, in its order.
-		rep.SeedsTried++
-		span := rec.StartSpan(opts.TraceParent, searchStage,
-			telemetry.KV("target", seed.Target),
-			telemetry.KV("victim", seed.Victim),
-			telemetry.KV("direction", seed.Direction.String()))
-		if opts.Observer != nil {
-			opts.Observer.SeedStart(seed)
-		}
 		out.rec.replay(rec)
 		if trace := seedTrace(opts, seed); trace != nil {
 			for _, it := range out.trail {
 				trace(it)
 			}
 		}
-		rep.IterationsToFind += out.iters
-		rec.Add(telemetry.MSearchIters, int64(out.iters))
-		span.End(telemetry.KV("iters", out.iters), telemetry.KV("found", out.finding != nil))
-		if opts.Observer != nil {
-			opts.Observer.SeedEnd(seed, out.iters, out.finding != nil, errString(out.err))
-		}
-		if out.err != nil {
-			rep.SeedErrors = append(rep.SeedErrors,
-				fmt.Sprintf("seed T%d-V%d: %v", seed.Target, seed.Victim, out.err))
-			return rep, fmt.Errorf("fuzz: seed T%d-V%d search failed: %w", seed.Target, seed.Victim, out.err)
-		}
-		if out.finding != nil {
-			rec.Add(telemetry.MSeedsCracked, 1)
-			rec.Set(telemetry.MBestObjective, out.finding.Objective)
-			rep.Found = true
-			rep.Findings = append(rep.Findings, *out.finding)
-			recordWitness(in, *out.finding, opts, rec)
-			return rep, nil
-		}
+		return out.iters, out.finding, out.err
 	}
-	return rep, nil
+	stop = func() {
+		stopFlag.Store(true)
+		close(quit)
+		wg.Wait()
+	}
+	return next, stop
 }

@@ -53,8 +53,10 @@ func TestParallelSeedSearchMatchesSequential(t *testing.T) {
 		seed uint64
 	}{
 		{4, 4}, // resilient under this budget
-		{5, 4}, // cracks on the second seed
+		{5, 4}, // cracks on the second seed (G_Fuzz: on the first, cancelling every in-flight seed)
 		{5, 3}, // resilient under this budget
+		{5, 2}, // resilient under this budget
+		{6, 4}, // cracks on the second seed via a finite-difference probe
 	}
 	for _, fz := range []Fuzzer{SwarmFuzz{}, GFuzz{}} {
 		for _, fx := range fixtures {
@@ -91,7 +93,7 @@ func TestParallelWalkFindsSPV(t *testing.T) {
 	for _, fx := range []struct {
 		n    int
 		seed uint64
-	}{{4, 4}, {5, 4}, {5, 3}} {
+	}{{4, 4}, {5, 4}, {5, 3}, {5, 2}, {6, 4}} {
 		in := Input{Mission: testMission(t, fx.n, fx.seed), Controller: testController(t), SpoofDistance: 10}
 		opts := DefaultOptions()
 		opts.MaxIterPerSeed = 6

@@ -39,39 +39,23 @@ type Options struct {
 	// MinStep stops the search when the parameter update is smaller
 	// than this (stalled descent).
 	MinStep float64
-	// Trace, when non-nil, observes every counted iterate of the
-	// descent: the zero-based iteration index, the evaluated point and
-	// its objective value. Gradient probes are not traced unless they
-	// terminate the search (a probe that finds the collision counts as
-	// an iteration, matching Result.Iters).
-	Trace func(iter int, ts, dt, value float64)
 	// Observe, when non-nil, receives one structured Iterate per
-	// counted iteration, in the same order Trace fires. Unlike Trace it
-	// carries the finite-difference gradient norm and the projected
-	// step the descent took from this iterate, so it is emitted after
-	// the gradient probes (or immediately, with GradNorm < 0, when the
-	// iterate terminates the search). The sequential and batched paths
-	// produce identical Observe sequences.
+	// counted iteration, in iteration order. It carries the
+	// finite-difference gradient norm and the projected step the
+	// descent took from this iterate, so it is emitted after the
+	// gradient probes (or immediately, with GradNorm < 0, when the
+	// iterate terminates the search). Gradient probes are observed only
+	// when they terminate the search (a probe that finds the collision
+	// counts as an iteration, matching Result.Iters).
 	Observe func(Iterate)
-	// Batch, when non-nil, evaluates a whole iteration's points at
-	// once — pts[0] is the candidate, pts[1:] the finite-difference
-	// probes — and returns one value per point, enabling the caller to
-	// run the underlying simulations in parallel. It must agree with
-	// the Objective pointwise. pts[0] is the gate: when its value is
-	// non-positive the descent terminates without consuming the probe
-	// values, so implementations that care about side-effect ordering
-	// (telemetry accounting) must apply the same gate. The returned
-	// slice is read before the next Batch call and may be reused.
-	Batch func(pts [][2]float64) []float64
 }
 
 // Iterate is one structured record of the descent: the counted
-// iteration (matching Trace's index), the evaluated point and value,
+// iteration, the evaluated point and value,
 // and — when the iterate did not terminate the search — the estimated
 // gradient norm and the projected step taken from it.
 type Iterate struct {
-	// Iter is the zero-based counted iteration, identical to the index
-	// Trace reports.
+	// Iter is the zero-based counted iteration.
 	Iter int
 	// TS, DT and Value are the evaluated point and its objective.
 	TS, DT, Value float64
@@ -145,26 +129,9 @@ func Minimize(f Objective, ts0, dt0 float64, opts Options) (Result, error) {
 	res := Result{TS: ts, DT: dt, Value: math.Inf(1)}
 
 	for iter := 0; iter < opts.MaxIters; iter++ {
-		// One iteration needs the candidate value and — unless the
-		// candidate terminates the descent — the two forward-difference
-		// probe values. The batched path computes all three up front
-		// (they are independent simulations); the sequential path
-		// evaluates lazily. Iteration/eval accounting is identical.
-		h := opts.FDStep
-		var v, vts, vdt float64
-		batched := opts.Batch != nil
-		if batched {
-			pts := [3][2]float64{{ts, dt}, {ts + h, dt}, {ts, dt + h}}
-			vals := opts.Batch(pts[:])
-			v, vts, vdt = vals[0], vals[1], vals[2]
-		} else {
-			v = f(ts, dt)
-		}
+		v := f(ts, dt)
 		res.Iters++
 		res.Evals++
-		if opts.Trace != nil {
-			opts.Trace(res.Iters-1, ts, dt, v)
-		}
 		accepted := v < res.Value
 		if accepted {
 			res.Value, res.TS, res.DT = v, ts, dt
@@ -176,10 +143,9 @@ func Minimize(f Objective, ts0, dt0 float64, opts Options) (Result, error) {
 		}
 
 		// Forward-difference gradient probes.
-		if !batched {
-			vts = f(ts+h, dt)
-			vdt = f(ts, dt+h)
-		}
+		h := opts.FDStep
+		vts := f(ts+h, dt)
+		vdt := f(ts, dt+h)
 		res.Evals += 2
 		gts := (vts - v) / h
 		gdt := (vdt - v) / h
@@ -193,9 +159,6 @@ func Minimize(f Objective, ts0, dt0 float64, opts Options) (Result, error) {
 			res.Found = true
 			res.Value, res.TS, res.DT = vts, ts+h, dt
 			res.Iters++
-			if opts.Trace != nil {
-				opts.Trace(res.Iters-1, ts+h, dt, vts)
-			}
 			observe(opts, candIt) // no step taken from the candidate
 			observe(opts, Iterate{Iter: res.Iters - 1, TS: ts + h, DT: dt, Value: vts, GradNorm: -1, Accepted: true})
 			return res, nil
@@ -204,9 +167,6 @@ func Minimize(f Objective, ts0, dt0 float64, opts Options) (Result, error) {
 			res.Found = true
 			res.Value, res.TS, res.DT = vdt, ts, dt+h
 			res.Iters++
-			if opts.Trace != nil {
-				opts.Trace(res.Iters-1, ts, dt+h, vdt)
-			}
 			observe(opts, candIt) // no step taken from the candidate
 			observe(opts, Iterate{Iter: res.Iters - 1, TS: ts, DT: dt + h, Value: vdt, GradNorm: -1, Accepted: true})
 			return res, nil

@@ -217,3 +217,74 @@ func TestPropMinimizeOnConvexBowls(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMinimizeObserveTrail pins the structured observation stream on
+// several synthetic objectives: one Iterate per counted iteration in
+// iteration order, and the final accepted iterate — the one Result
+// reports — present in the stream (for a found collision, as the last
+// entry, flagged as terminating).
+func TestMinimizeObserveTrail(t *testing.T) {
+	objectives := map[string]Objective{
+		// Smooth bowl that crosses zero: the descent finds it.
+		"bowl": func(ts, dt float64) float64 {
+			return (ts-7)*(ts-7) + (dt-3)*(dt-3) - 1
+		},
+		// Always positive: the descent exhausts its budget or stalls.
+		"positive": func(ts, dt float64) float64 {
+			return 1 + math.Abs(ts-5) + math.Abs(dt-5)
+		},
+		// Non-positive immediately: the candidate terminates iteration 0.
+		"instant": func(ts, dt float64) float64 {
+			return -1
+		},
+		// A probe (not the candidate) finds the collision first.
+		"probe-hit": func(ts, dt float64) float64 {
+			if ts >= 2.5 {
+				return -0.5
+			}
+			return 5 - ts
+		},
+	}
+	for name, f := range objectives {
+		for _, horizon := range []float64{0, 20} {
+			opts := DefaultOptions()
+			opts.Horizon = horizon
+			var obs []Iterate
+			opts.Observe = func(it Iterate) { obs = append(obs, it) }
+			res, err := Minimize(f, 2, 4, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(obs) != res.Iters {
+				t.Fatalf("%s (horizon %g): %d observations for %d iterations", name, horizon, len(obs), res.Iters)
+			}
+			found := -1
+			for i, it := range obs {
+				if it.Iter != i {
+					t.Errorf("%s (horizon %g): observation %d carries iteration %d", name, horizon, i, it.Iter)
+				}
+				if it.TS == res.TS && it.DT == res.DT && it.Value == res.Value {
+					found = i
+				}
+			}
+			if found < 0 {
+				t.Errorf("%s (horizon %g): final accepted iterate (%g,%g)=%g never observed",
+					name, horizon, res.TS, res.DT, res.Value)
+			} else if res.Found && found != len(obs)-1 {
+				t.Errorf("%s (horizon %g): found-collision iterate observed at %d, want last (%d)",
+					name, horizon, found, len(obs)-1)
+			}
+			last := obs[len(obs)-1]
+			if res.Found {
+				if !last.Accepted || last.TS != res.TS || last.DT != res.DT || last.Value != res.Value {
+					t.Errorf("%s (horizon %g): last observation %+v does not match result %+v", name, horizon, last, res)
+				}
+				if last.GradNorm != -1 || last.StepSize != 0 {
+					t.Errorf("%s (horizon %g): terminating observation should carry GradNorm=-1 StepSize=0, got %+v", name, horizon, last)
+				}
+			} else if last.GradNorm < 0 {
+				t.Errorf("%s (horizon %g): non-terminating last observation missing gradient norm: %+v", name, horizon, last)
+			}
+		}
+	}
+}
