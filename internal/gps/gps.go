@@ -78,12 +78,6 @@ func NewSensor(biasMag, noiseStd float64, src *rng.Source) *Sensor {
 	return &Sensor{bias: bias, noiseStd: noiseStd, src: src}
 }
 
-// NewIdealSensor returns a noiseless, bias-free sensor. Useful for
-// deterministic unit tests and for isolating the spoofing effect.
-func NewIdealSensor() *Sensor {
-	return &Sensor{src: rng.New(0)}
-}
-
 // Read returns the perceived position for the given true position at
 // mission time t.
 func (s *Sensor) Read(truth vec.Vec3, t float64) Reading {

@@ -64,24 +64,6 @@ func (g *Digraph) HasEdge(u, v int) bool {
 // NumEdges returns the total edge count.
 func (g *Digraph) NumEdges() int { return g.edges }
 
-// OutDegree returns the number of outgoing edges of u.
-func (g *Digraph) OutDegree(u int) int {
-	d := 0
-	g.OutNeighbors(u, func(int, float64) { d++ })
-	return d
-}
-
-// InDegree returns the number of incoming edges of u.
-func (g *Digraph) InDegree(u int) int {
-	d := 0
-	for v := 0; v < g.n; v++ {
-		if g.w[v*g.n+u] != 0 {
-			d++
-		}
-	}
-	return d
-}
-
 // OutNeighbors calls fn for every edge u->v with its weight, in
 // ascending order of v.
 func (g *Digraph) OutNeighbors(u int, fn func(v int, w float64)) {

@@ -58,7 +58,18 @@ func TestEdgeAccessors(t *testing.T) {
 	if g.NumEdges() != 3 {
 		t.Errorf("NumEdges = %d, want 3", g.NumEdges())
 	}
-	if g.OutDegree(0) != 2 || g.InDegree(1) != 2 || g.OutDegree(3) != 0 {
+	outDeg := func(u int) int {
+		d := 0
+		g.OutNeighbors(u, func(int, float64) { d++ })
+		return d
+	}
+	inDeg1 := 0
+	for u := 0; u < g.N(); u++ {
+		if g.HasEdge(u, 1) {
+			inDeg1++
+		}
+	}
+	if outDeg(0) != 2 || inDeg1 != 2 || outDeg(3) != 0 {
 		t.Error("degree accounting wrong")
 	}
 }

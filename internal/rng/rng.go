@@ -10,6 +10,7 @@
 package rng
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
 )
@@ -37,33 +38,28 @@ func (s *Source) Seed() uint64 { return s.seed }
 // and the label. Distinct labels yield independent streams; the same
 // (seed, label) pair always yields the same stream.
 func Derive(seed uint64, label string) *Source {
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(seed >> (8 * i))
-	}
-	_, _ = h.Write(buf[:])
-	_, _ = h.Write([]byte(label))
-	return New(h.Sum64())
+	return New(deriveSeed(seed, label))
 }
 
 // DeriveN is Derive with an integer discriminator appended to the
 // label, convenient for per-drone or per-trial streams.
 func DeriveN(seed uint64, label string, n int) *Source {
+	return New(deriveSeed(seed, label, uint64(n)))
+}
+
+// deriveSeed is the FNV-1a hash of seed, label and then each of extra,
+// with every integer written as 8 little-endian bytes.
+func deriveSeed(seed uint64, label string, extra ...uint64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(seed >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(buf[:], seed)
 	_, _ = h.Write(buf[:])
 	_, _ = h.Write([]byte(label))
-	var nbuf [8]byte
-	un := uint64(n)
-	for i := 0; i < 8; i++ {
-		nbuf[i] = byte(un >> (8 * i))
+	for _, x := range extra {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		_, _ = h.Write(buf[:])
 	}
-	_, _ = h.Write(nbuf[:])
-	return New(h.Sum64())
+	return h.Sum64()
 }
 
 // Uniform returns a uniformly distributed float64 in [lo, hi).

@@ -539,17 +539,6 @@ func (e *Engine) Get(id string) (JobStatus, error) {
 	return j.status, nil
 }
 
-// Spec returns the job's submitted spec.
-func (e *Engine) Spec(id string) (JobSpec, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	j, ok := e.jobs[id]
-	if !ok {
-		return JobSpec{}, ErrNotFound
-	}
-	return j.spec, nil
-}
-
 // Jobs returns every job's status in submission order.
 func (e *Engine) Jobs() []JobStatus {
 	out, _ := e.JobsPage("", 0)

@@ -4,104 +4,83 @@ import (
 	"fmt"
 	"testing"
 
-	"swarmfuzz/internal/rng"
 	"swarmfuzz/internal/vec"
 )
 
-// randomBodies builds a swarm clustered tightly enough that collisions
-// actually occur, with a sprinkling of pre-crashed drones.
-func randomBodies(src *rng.Source, n int, spread float64) []Body {
-	bodies := make([]Body, n)
-	for i := range bodies {
-		bodies[i] = Body{
-			Pos:     vec.New(src.Uniform(-spread, spread), src.Uniform(-spread, spread), src.Uniform(-0.3, 0.3)),
-			Crashed: src.Uniform(0, 1) < 0.15,
-		}
-	}
-	return bodies
-}
-
-func cloneBodies(b []Body) []Body {
-	out := make([]Body, len(b))
-	copy(out, b)
-	return out
-}
-
-// TestCollideGridMatchesBrute is the exact-equivalence property test
-// behind the spatial hash: across many random swarms — dense and
-// sparse, small and large, with pre-crashed drones and negative
-// coordinates — the grid must produce the identical pair list (same
-// pairs, same order) and identical Crashed flags as the brute-force
-// reference scan, because pair order and intra-pass crash suppression
-// are observable simulation behaviour.
-func TestCollideGridMatchesBrute(t *testing.T) {
+// TestCollidePairOrder pins the pairwise scan's observable semantics
+// on hand-built swarms: pairs come out for ascending i, each i takes
+// its smallest qualifying j, crashes made earlier in the same pass
+// suppress later pairs, and pre-crashed drones take no part.
+func TestCollidePairOrder(t *testing.T) {
 	const threshold = 0.5
-	src := rng.Derive(1234, "collide-prop")
-	for trial := 0; trial < 300; trial++ {
-		n := 2 + int(src.Uniform(0, 79))
-		// Mix densities: tight clusters force many collisions, loose
-		// ones force none.
-		spread := []float64{0.8, 2, 6, 40}[trial%4]
-		ref := randomBodies(src, n, spread)
-		grid := cloneBodies(ref)
-
-		refPairs := collideBrute(ref, threshold, nil)
-		var c droneCollider
-		gridPairs := c.collideGrid(grid, threshold, nil)
-
-		if len(refPairs) != len(gridPairs) {
-			t.Fatalf("trial %d (n=%d spread=%g): %d pairs vs %d", trial, n, spread, len(refPairs), len(gridPairs))
-		}
-		for k := range refPairs {
-			if refPairs[k] != gridPairs[k] {
-				t.Fatalf("trial %d pair %d: brute %v vs grid %v", trial, k, refPairs[k], gridPairs[k])
+	type drone struct {
+		x, y, z float64
+		crashed bool
+	}
+	cases := []struct {
+		name    string
+		drones  []drone
+		want    [][2]int
+		crashed []bool
+	}{
+		{
+			// 0–1 and 1–2 are in range, 0–2 is not. Drone 1 crashes
+			// with 0 first, so (1, 2) never forms and 2 survives.
+			name:    "chain",
+			drones:  []drone{{0, 0, 0, false}, {0.4, 0, 0, false}, {0.8, 0, 0, false}},
+			want:    [][2]int{{0, 1}},
+			crashed: []bool{true, true, false},
+		},
+		{
+			// Drones 2 and 3 are both in range of 0; 0 takes the
+			// smaller, and 3 is left with no partner in range. 1 pairs
+			// with 4 after 0 is done.
+			name: "min j per ascending i",
+			drones: []drone{{0, 0, 0, false}, {10, 0, 0, false}, {0.3, 0, 0, false},
+				{-0.3, 0, 0, false}, {10.2, 0, 0, false}},
+			want:    [][2]int{{0, 2}, {1, 4}},
+			crashed: []bool{true, true, true, false, true},
+		},
+		{
+			// A crashed i is never scanned and a crashed j is never
+			// taken, even when it is the nearest.
+			name: "pre-crashed skipped",
+			drones: []drone{{0, 0, 0, true}, {0.3, 0, 0, false}, {0.35, 0, 0, true},
+				{0.6, 0, 0, false}},
+			want:    [][2]int{{1, 3}},
+			crashed: []bool{true, true, true, true},
+		},
+		{
+			name: "negative coordinates",
+			drones: []drone{{-100, -100, -5, false}, {-50, -50, -5, false},
+				{-100.3, -100.2, -5, false}, {-50.1, -49.9, -5.2, false}},
+			want:    [][2]int{{0, 2}, {1, 3}},
+			crashed: []bool{true, true, true, true},
+		},
+		{
+			name:    "none in range",
+			drones:  []drone{{0, 0, 0, false}, {0.51, 0, 0, false}, {0, -0.51, 0, false}},
+			want:    nil,
+			crashed: []bool{false, false, false},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bodies := make([]Body, len(c.drones))
+			for i, d := range c.drones {
+				bodies[i] = Body{Pos: vec.New(d.x, d.y, d.z), Crashed: d.crashed}
 			}
-		}
-		for i := range ref {
-			if ref[i].Crashed != grid[i].Crashed {
-				t.Fatalf("trial %d drone %d: brute crashed=%v grid crashed=%v", trial, i, ref[i].Crashed, grid[i].Crashed)
+			// A stale buffer must be overwritten, as the Stepper
+			// passes s.pairs[:0].
+			pairs := collide(bodies, threshold, [][2]int{{9, 9}}[:0])
+			if fmt.Sprint(pairs) != fmt.Sprint(c.want) {
+				t.Errorf("pairs = %v, want %v", pairs, c.want)
 			}
-		}
-	}
-}
-
-// TestCollideGridReuse verifies a collider instance reused across
-// ticks (as the Stepper does) keeps producing correct results and
-// stops allocating once warm.
-func TestCollideGridReuse(t *testing.T) {
-	src := rng.Derive(77, "collide-reuse")
-	var c droneCollider
-	var pairs [][2]int
-	for tick := 0; tick < 50; tick++ {
-		ref := randomBodies(src, 40, 1.2)
-		grid := cloneBodies(ref)
-		want := collideBrute(ref, 0.5, nil)
-		pairs = c.collideGrid(grid, 0.5, pairs[:0])
-		if fmt.Sprint(want) != fmt.Sprint(pairs) {
-			t.Fatalf("tick %d: brute %v vs grid %v", tick, want, pairs)
-		}
-	}
-	bodies := randomBodies(src, 40, 6)
-	c.collideGrid(bodies, 0.5, pairs[:0]) // warm for this n
-	allocs := testing.AllocsPerRun(20, func() {
-		pairs = c.collideGrid(bodies, 0.5, pairs[:0])
-	})
-	if allocs != 0 {
-		t.Errorf("warm collideGrid allocates %v objects/op, want 0", allocs)
-	}
-}
-
-// TestColliderSelectsGrid pins the brute/grid dispatch threshold.
-func TestColliderSelectsGrid(t *testing.T) {
-	src := rng.Derive(3, "collide-dispatch")
-	for _, n := range []int{2, collideGridMin - 1, collideGridMin, 64} {
-		ref := randomBodies(src, n, 1.0)
-		both := cloneBodies(ref)
-		want := collideBrute(ref, 0.5, nil)
-		var c droneCollider
-		got := c.collide(both, 0.5, nil)
-		if fmt.Sprint(want) != fmt.Sprint(got) {
-			t.Fatalf("n=%d: brute %v vs collide %v", n, want, got)
-		}
+			for i, b := range bodies {
+				if b.Crashed != c.crashed[i] {
+					t.Errorf("drone %d crashed = %v, want %v", i, b.Crashed, c.crashed[i])
+				}
+			}
+		})
 	}
 }

@@ -58,18 +58,6 @@ type FlightRecorder interface {
 	RecordCollision(c Collision)
 	// EndFlight is called exactly once when the run ends: with the
 	// result on success, or with a nil result and the failure
-	// (divergence, exhausted step budget) otherwise.
+	// (divergence) otherwise.
 	EndFlight(res *Result, err error)
 }
-
-// NopFlight is a FlightRecorder that discards everything. It exists for
-// callers that want to thread a never-nil recorder; sim.Run itself
-// accepts nil.
-var NopFlight FlightRecorder = nopFlight{}
-
-type nopFlight struct{}
-
-func (nopFlight) BeginFlight(*Mission, *gps.SpoofPlan) {}
-func (nopFlight) RecordStep(FlightStep)                {}
-func (nopFlight) RecordCollision(Collision)            {}
-func (nopFlight) EndFlight(*Result, error)             {}

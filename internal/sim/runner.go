@@ -135,26 +135,6 @@ func (r *Result) CollisionOf(drone int) *Collision {
 	return nil
 }
 
-// ObstacleCollisions returns the collisions with obstacles only.
-func (r *Result) ObstacleCollisions() []Collision {
-	cnt := 0
-	for _, c := range r.Collisions {
-		if c.Kind == KindObstacle {
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return nil
-	}
-	out := make([]Collision, 0, cnt)
-	for _, c := range r.Collisions {
-		if c.Kind == KindObstacle {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // RunOptions configure one mission run.
 type RunOptions struct {
 	// Controller computes each drone's velocity command. Required.
@@ -166,11 +146,6 @@ type RunOptions struct {
 	// RecordTrajectory enables trajectory recording (needed for the
 	// initial test-run; skipped during fuzzing iterations for speed).
 	RecordTrajectory bool
-	// StepBudget, when positive, caps the number of integration steps.
-	// A run that exhausts the budget before completing returns an
-	// error wrapping robust.ErrDiverged instead of a garbage
-	// trajectory. 0 means the MaxTime/Dt bound only.
-	StepBudget int
 	// Telemetry receives the run's counters (sim_runs, sim_steps) and
 	// its wall-time histogram sample; nil disables recording.
 	Telemetry telemetry.Recorder
@@ -187,7 +162,7 @@ var errNilController = errors.New("sim: RunOptions.Controller is required")
 // Stepper simulates one mission incrementally, one integration step
 // per Step call. It owns all per-run scratch — observation arenas (via
 // the bus), GPS readings, commands, trajectory backing arrays and the
-// collision grid — so a steady-state Step performs zero heap
+// collision pair buffer — so a steady-state Step performs zero heap
 // allocations. Run drives a Stepper to completion; external callers
 // (benchmarks, interactive tooling) may drive it directly.
 //
@@ -214,17 +189,14 @@ type Stepper struct {
 	published []comms.State
 	readings  []gps.Reading
 	cmds      []vec.Vec3
-	collider  droneCollider
 	pairs     [][2]int
 
-	steps        int
-	budgetCapped bool
-	stepBudget   int
-	step         int
-	stepsRun     int
-	tEnd         float64
-	done         bool
-	err          error
+	steps    int
+	step     int
+	stepsRun int
+	tEnd     float64
+	done     bool
+	err      error
 }
 
 // NewStepper validates opts and returns a Stepper ready to run m. It
@@ -253,19 +225,18 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 
 	n := cfg.NumDrones
 	s := &Stepper{
-		m:          m,
-		cfg:        cfg,
-		ctrl:       opts.Controller,
-		bus:        bus,
-		spoofer:    spoofer,
-		flight:     opts.Flight,
-		bodies:     make([]Body, n),
-		sensors:    make([]*gps.Sensor, n),
-		published:  make([]comms.State, 0, n),
-		readings:   make([]gps.Reading, n),
-		cmds:       make([]vec.Vec3, n),
-		stepBudget: opts.StepBudget,
-		tEnd:       cfg.MaxTime,
+		m:         m,
+		cfg:       cfg,
+		ctrl:      opts.Controller,
+		bus:       bus,
+		spoofer:   spoofer,
+		flight:    opts.Flight,
+		bodies:    make([]Body, n),
+		sensors:   make([]*gps.Sensor, n),
+		published: make([]comms.State, 0, n),
+		readings:  make([]gps.Reading, n),
+		cmds:      make([]vec.Vec3, n),
+		tEnd:      cfg.MaxTime,
 	}
 	for i := 0; i < n; i++ {
 		s.bodies[i] = Body{Pos: m.Start[i]}
@@ -290,10 +261,6 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 	}
 
 	s.steps = int(cfg.MaxTime / cfg.Dt)
-	if opts.StepBudget > 0 && opts.StepBudget < s.steps {
-		s.steps = opts.StepBudget
-		s.budgetCapped = true
-	}
 	return s, nil
 }
 
@@ -317,8 +284,8 @@ func (s *Stepper) finish() {
 }
 
 // Step advances the simulation one tick. It returns done=true when the
-// run has ended — mission complete, time or step budget exhausted, or
-// a divergence error — and the terminal error, if any. Calling Step
+// run has ended — mission complete, MaxTime reached, or a divergence
+// error — and the terminal error, if any. Calling Step
 // after done re-returns the terminal state.
 func (s *Stepper) Step() (done bool, err error) {
 	if s.done {
@@ -413,7 +380,7 @@ func (s *Stepper) Step() (done bool, err error) {
 			}
 		}
 	}
-	s.pairs = s.collider.collide(s.bodies, 2*cfg.DroneRadius, s.pairs[:0])
+	s.pairs = collide(s.bodies, 2*cfg.DroneRadius, s.pairs[:0])
 	for _, p := range s.pairs {
 		i, j := p[0], p[1]
 		ci := Collision{Drone: i, Kind: KindDrone, Other: j, Time: t, Pos: s.bodies[i].Pos}
@@ -449,12 +416,6 @@ func (s *Stepper) Step() (done bool, err error) {
 
 	s.step++
 	if s.step > s.steps {
-		if s.budgetCapped && !s.res.Completed {
-			s.done = true
-			s.err = fmt.Errorf("sim: step budget %d exhausted before completion: %w",
-				s.stepBudget, robust.ErrDiverged)
-			return true, s.err
-		}
 		s.finish()
 		return true, nil
 	}
@@ -471,17 +432,16 @@ func Run(m *Mission, opts RunOptions) (res *Result, err error) {
 	}
 
 	// The flight recorder only observes runs that passed validation, and
-	// its EndFlight fires exactly once on every exit — success,
-	// divergence abort or exhausted step budget — with the same values
-	// the caller receives.
+	// its EndFlight fires exactly once on every exit — success or
+	// divergence abort — with the same values the caller receives.
 	if opts.Flight != nil {
 		opts.Flight.BeginFlight(m, opts.Spoof)
 		defer func() { opts.Flight.EndFlight(res, err) }()
 	}
 
 	// Every run that passes validation counts as one simulation —
-	// including runs later aborted by divergence or the step budget,
-	// whose integration work was still spent. fuzz mirrors sim_runs
+	// including runs later aborted by divergence, whose integration
+	// work was still spent. fuzz mirrors sim_runs
 	// into Report.SimRuns, making this the single counting site.
 	rec := telemetry.OrNop(opts.Telemetry)
 	wallStart := rec.Now()

@@ -144,9 +144,6 @@ func TestRunObstacleCollision(t *testing.T) {
 	if res.MinClearance[0] > 0 {
 		t.Errorf("colliding drone has positive min clearance %v", res.MinClearance[0])
 	}
-	if len(res.ObstacleCollisions()) == 0 {
-		t.Error("ObstacleCollisions returned nothing")
-	}
 }
 
 func TestRunDroneCollision(t *testing.T) {
@@ -171,8 +168,10 @@ func TestRunDroneCollision(t *testing.T) {
 			t.Errorf("collision kind %v, want drone", c.Kind)
 		}
 	}
-	if len(res.ObstacleCollisions()) != 0 {
-		t.Error("drone-drone collision misclassified as obstacle")
+	for d := 0; d < 2; d++ {
+		if c := res.CollisionOf(d); c == nil || c.Kind != KindDrone || c.Other != 1-d {
+			t.Errorf("drone %d: collision %+v, want a drone collision with drone %d", d, c, 1-d)
+		}
 	}
 }
 
@@ -301,25 +300,5 @@ func TestRunDivergenceGuard(t *testing.T) {
 	_, err = Run(m, RunOptions{Controller: nanController{after: 1}})
 	if !errors.Is(err, robust.ErrDiverged) {
 		t.Fatalf("err = %v, want robust.ErrDiverged", err)
-	}
-}
-
-func TestRunStepBudget(t *testing.T) {
-	m, err := NewMission(smallConfig(2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A budget too small for the mission must refuse instead of
-	// returning a truncated result.
-	if _, err := Run(m, RunOptions{Controller: straightController{speed: 2}, StepBudget: 3}); !errors.Is(err, robust.ErrDiverged) {
-		t.Fatalf("err = %v, want robust.ErrDiverged", err)
-	}
-	// A generous budget must not change the result.
-	res, err := Run(m, RunOptions{Controller: straightController{speed: 2}, StepBudget: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Error("mission must complete under a generous step budget")
 	}
 }

@@ -65,9 +65,9 @@ func TestStepperMatchesRun(t *testing.T) {
 }
 
 // TestStepperZeroAlloc pins the tentpole property: once warm, one
-// simulation step allocates nothing — across swarm sizes on both
-// collision paths (brute force and spatial hash), with and without
-// trajectory recording.
+// simulation step allocates nothing — across swarm sizes from the
+// paper's five drones to fifty, with and without trajectory
+// recording.
 func TestStepperZeroAlloc(t *testing.T) {
 	for _, n := range []int{5, 10, 50} {
 		for _, traj := range []bool{false, true} {
@@ -83,7 +83,7 @@ func TestStepperZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Warm up: first steps size the bus arena and collision grid.
+			// Warm up: first steps size the bus arena and pair buffer.
 			for i := 0; i < 5; i++ {
 				if _, err := st.Step(); err != nil {
 					t.Fatal(err)
